@@ -15,12 +15,19 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import PipelineScale
 from repro.experiments.common import ExperimentScale
+
+# The golden references (tests/reference/) import as ``tests.reference``
+# from both suites, however pytest was launched.
+REPO_ROOT = str(Path(__file__).resolve().parents[1])
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 def bench_scale() -> ExperimentScale:

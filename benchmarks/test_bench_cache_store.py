@@ -4,9 +4,10 @@ Two headline numbers:
 
 * **Warm-start load** — constructing an engine over a 10k-entry cache.
   The sharded store's interned, fixed-width batch records parse through
-  ``numpy.frombuffer``; the legacy path walks a pickle graph.  The store
-  must load at least 3x faster (the pinned speedup in
-  ``perf_baseline.json`` gates regressions).
+  ``numpy.frombuffer``; the retired monolithic-pickle path, frozen here
+  as the comparator, walks a pickle graph.  The store must load at least
+  3x faster (the pinned speedup in ``perf_baseline.json`` gates
+  regressions).
 * **Concurrent-writer throughput** — four processes appending into one
   shared cache.  The store appends under a per-shard lock; the only safe
   monolithic-pickle equivalent is a locked read-modify-write of the
@@ -24,13 +25,32 @@ import time
 from pathlib import Path
 
 from repro.core.cache_store import CacheStore
-from repro.core.engine import CACHE_FORMAT_VERSION, EvaluationEngine
+from repro.core.engine import EvaluationEngine
 from repro.core.sequences import predefined_program
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
 
-#: Entry count for the warm-start benchmark (the issue's 10k-entry claim).
+#: Entry count for the warm-start benchmark (the 10k-entry claim).
 WARM_ENTRIES = 10_000
+
+#: The envelope version the retired pickle backend wrote.
+LEGACY_PICKLE_VERSION = 2
+
+
+def legacy_pickle_warm_start(platform, path) -> EvaluationEngine:
+    """The retired ``EvaluationEngine(cache_path=...)`` warm start, frozen.
+
+    Exactly the work that constructor did over an existing pickle and
+    nothing more: build an engine, unpickle the file, check the envelope
+    version, then bulk-merge the entries into the empty engine.
+    """
+    engine = EvaluationEngine(platform, tuner_trials=4, seed=0)
+    with open(path, "rb") as handle:
+        payload = pickle.load(handle)
+    if payload["version"] != LEGACY_PICKLE_VERSION:
+        raise ValueError(f"legacy pickle version {payload['version']}")
+    engine.statistics.loaded_entries += engine._merge_entries(payload["entries"])
+    return engine
 
 
 def _synthetic_entries(count: int) -> dict:
@@ -57,13 +77,12 @@ def test_bench_cache_store_warm_start(benchmark, perf_record, tmp_path):
     entries = _synthetic_entries(WARM_ENTRIES)
     pickle_path = tmp_path / "engine-cpu.pkl"
     with open(pickle_path, "wb") as handle:
-        pickle.dump({"version": CACHE_FORMAT_VERSION, "entries": entries},
+        pickle.dump({"version": LEGACY_PICKLE_VERSION, "entries": entries},
                     handle)
     CacheStore(tmp_path / "store").append(entries)
 
     def load_pickle() -> EvaluationEngine:
-        return EvaluationEngine(platform, tuner_trials=4, seed=0,
-                                cache_path=pickle_path)
+        return legacy_pickle_warm_start(platform, pickle_path)
 
     def load_store() -> EvaluationEngine:
         # A fresh CacheStore per round: no incremental-scan state reuse,

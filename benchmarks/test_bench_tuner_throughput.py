@@ -5,7 +5,7 @@ engine **configurations/sec** — and pins the headline of the fast-path
 work: ``AutoTuner.tune`` at 64 trials is at least 3x faster than main.
 
 The baseline is ``reference_tune`` (the pre-fast-path loop, kept
-verbatim) measured with the shared-layer speedups of the same change
+verbatim in ``tests/reference/tuner.py``) measured with the shared-layer speedups of the same change
 — the memoised ``divisors`` and the affine-substitution short-circuits —
 monkeypatched back to main's implementations, so the comparison is
 against what main actually executed, not against a baseline that already
@@ -26,11 +26,14 @@ import repro.tenir.autotune as autotune_module
 from repro.core import compile_cache
 from repro.core.engine import EvaluationEngine
 from repro.core.program import TransformProgram
-from repro.core.sequences import SequenceSpec, paper_sequences
+from repro.core.sequences import paper_sequences, predefined_program
 from repro.hardware import get_platform
 from repro.poly.affine import AffineExpr, AffineMap
 from repro.poly.statement import ConvolutionShape
-from repro.tenir import AutoTuner, TuningContext, conv2d_compute, reference_tune
+from repro.tenir import AutoTuner, TuningContext, conv2d_compute
+from tests.reference.compile import compile_from_scratch
+from tests.reference.cost_model import vectorised_dram_traffic
+from tests.reference.tuner import reference_tune
 
 TRIALS = 64
 PLATFORM_NAMES = ("cpu", "gpu", "mcpu", "mgpu")
@@ -131,7 +134,7 @@ def _clear_process_caches():
 
 def _legacy_traffic_batch(nests, cache_bytes):
     """Main's batch traffic: one numpy round-trip per candidate."""
-    return np.array([cost_model._vectorised_dram_traffic(nest, cache_bytes)
+    return np.array([vectorised_dram_traffic(nest, cache_bytes)
                      for nest in nests])
 
 
@@ -153,7 +156,7 @@ def test_bench_engine_configurations_per_second(benchmark, scale, monkeypatch,
     platform = get_platform("cpu")
     shapes = [ConvolutionShape(16 * (1 + i % 3), 16, 6 + 2 * (i % 4), 6 + 2 * (i % 4), 3, 3)
               for i in range(8)]
-    sequences = [SequenceSpec(kind="standard")] + list(paper_sequences().values())
+    sequences = [predefined_program("standard")] + list(paper_sequences().values())
     items = [(shape, sequence) for shape in shapes for sequence in sequences
              if sequence.applicable(shape)]
     trials = scale.pipeline.tuner_trials
@@ -171,7 +174,7 @@ def test_bench_engine_configurations_per_second(benchmark, scale, monkeypatch,
     baseline_rounds = []
     baseline_results: list[float] = []
     with monkeypatch.context() as patched:
-        patched.setattr(TransformProgram, "compile", TransformProgram.compile_uncached)
+        patched.setattr(TransformProgram, "compile", compile_from_scratch)
         patched.setattr(autotune_module, "shared_tuning_context", TuningContext.build)
         patched.setattr(cost_model, "estimate_dram_traffic_batch",
                         _legacy_traffic_batch)

@@ -736,7 +736,7 @@ class OptimizationSession:
         """Write back every engine cache that has a persistence backend."""
         written = []
         for engine in self._engines.values():
-            if engine.cache_store is not None or engine.cache_path is not None:
+            if engine.cache_store is not None:
                 written.append(engine.save_cache())
         return written
 
@@ -751,7 +751,7 @@ class OptimizationSession:
         failures: list[Exception] = []
         for engine in engines.values():
             try:
-                if engine.cache_store is not None or engine.cache_path is not None:
+                if engine.cache_store is not None:
                     engine.save_cache()
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 failures.append(exc)

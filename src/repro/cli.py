@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import signal
 import sys
 from pathlib import Path
@@ -199,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="manage the persisted tuning-cache store")
     cache_commands = cache.add_subparsers(dest="cache_command", metavar="action")
     info = cache_commands.add_parser(
-        "info", help="show the sharded store (and any legacy pickles)")
+        "info", help="show the sharded store and the compile cache")
     info.add_argument("--cache-dir", default=None)
     info.add_argument("--json", action="store_true")
     clear = cache_commands.add_parser(
@@ -500,42 +499,48 @@ def _cache_directory(cache_dir: str | None) -> Path:
     return Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
 
 
-def _legacy_pickles(directory: Path) -> list[Path]:
-    """Monolithic ``engine-*.pkl`` caches left behind by older builds."""
-    if not directory.exists():
-        return []
-    return sorted(directory.glob("engine-*.pkl"))
+def _migrate_legacy_pickles(directory: Path, *, keep: bool) -> int:
+    """Fold the monolithic ``engine-*.pkl`` caches of older builds into
+    the directory's store — the one reader of the retired pickle format.
+    """
+    import pickle
 
+    from repro.core.cache_store import CacheStore
 
-def _is_pickle_file(path: Path) -> bool:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(1) == b"\x80"  # every protocol-2+ pickle
-    except OSError:
-        return False
-
-
-#: What reading a legacy pickle can legitimately throw: I/O failures,
-#: truncated/corrupt streams, payloads whose classes no longer exist or
-#: whose layout predates the dict envelope.  Anything else is a bug and
-#: must surface, not be silently reported as "unreadable".
-_LEGACY_PICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError,
-                         ValueError, KeyError, AttributeError, ImportError,
-                         IndexError, TypeError)
-
-
-def _legacy_pickle_row(path: Path) -> dict:
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        entries = len(payload.get("entries", {}))
-        version = payload.get("version")
-    except _LEGACY_PICKLE_ERRORS as exc:
-        print(f"warning: cannot read legacy pickle {path.name}: {exc}",
-              file=sys.stderr)
-        entries, version = -1, None
-    return {"path": str(path), "bytes": path.stat().st_size,
-            "entries": entries, "format_version": version}
+    #: The last format the retired pickle backend wrote: a dict envelope
+    #: ``{"version": 2, "entries": {LatencyKey: seconds}}``.
+    LEGACY_PICKLE_VERSION = 2
+    # What reading a legacy pickle can legitimately throw: I/O failures,
+    # truncated/corrupt streams, payloads whose classes no longer exist or
+    # whose layout predates the dict envelope.  Anything else is a bug and
+    # must surface, not be silently reported as "skipped".
+    unreadable = (OSError, pickle.UnpicklingError, EOFError, ValueError,
+                  KeyError, AttributeError, ImportError, IndexError, TypeError)
+    paths = sorted(directory.glob("engine-*.pkl")) if directory.exists() else []
+    store = CacheStore(directory)
+    migrated = skipped = appended = 0
+    for path in paths:
+        try:
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+            version = payload.get("version")
+            if version != LEGACY_PICKLE_VERSION:
+                raise ValueError(f"cache format version {version}, expected "
+                                 f"{LEGACY_PICKLE_VERSION}")
+            entries = dict(payload["entries"])
+        except unreadable as exc:
+            skipped += 1
+            print(f"skipped {path.name}: {exc}", file=sys.stderr)
+            continue
+        appended += store.append(entries)
+        migrated += 1
+        if not keep:
+            path.unlink()
+        print(f"migrated {path.name}: {len(entries)} entries")
+    verb = "kept" if keep else "removed"
+    print(f"migrated {migrated} legacy pickle(s) ({verb} afterwards), "
+          f"{appended} new entries appended, {skipped} skipped")
+    return 0
 
 
 def _cmd_cache(args) -> int:
@@ -544,17 +549,12 @@ def _cmd_cache(args) -> int:
     directory = _cache_directory(args.cache_dir)
     if args.cache_command == "clear":
         # Delete only files this tool recognises as its own — shard
-        # segments (checked by magic), their lock/scratch files, and
-        # legacy engine pickles — and report everything it left alone.
+        # segments (checked by magic) and their lock/scratch files — and
+        # report everything it left alone.
         candidates = sorted(directory.iterdir()) if directory.exists() else []
         removed, skipped = [], []
         for path in candidates:
-            if path.is_dir():
-                skipped.append(path)
-            elif is_store_file(path):
-                removed.append(path)
-            elif (path.name.startswith("engine-") and path.suffix == ".pkl"
-                  and _is_pickle_file(path)):
+            if not path.is_dir() and is_store_file(path):
                 removed.append(path)
             else:
                 skipped.append(path)
@@ -569,13 +569,12 @@ def _cmd_cache(args) -> int:
 
         store = CacheStore(directory)
         rows = [shard.to_dict() for shard in store.info()]
-        legacy = [_legacy_pickle_row(path) for path in _legacy_pickles(directory)]
         compile_info = COMPILE_CACHE.info()
         if getattr(args, "json", False):
-            print(json.dumps({"stores": rows, "legacy_pickles": legacy,
-                              "compile_cache": compile_info}, indent=2))
+            print(json.dumps({"stores": rows, "compile_cache": compile_info},
+                             indent=2))
             return 0
-        if not rows and not legacy:
+        if not rows:
             print("no engine cache stores found")
         for row in rows:
             if row["error"]:
@@ -585,12 +584,6 @@ def _cmd_cache(args) -> int:
                           f"({row['dead_records']} dead records)")
             print(f"{row['path']}  {row['bytes']} bytes  {detail}  "
                   f"(store v{row['format_version']})")
-        for row in legacy:
-            entries = ("unreadable" if row["entries"] < 0
-                       else f"{row['entries']} entries")
-            print(f"{row['path']}  {row['bytes']} bytes  {entries} "
-                  f"(legacy pickle v{row['format_version']}; upgrade with "
-                  f"'repro cache migrate')")
         print(f"compile cache (this process): "
               f"{compile_info['entries']}/{compile_info['max_entries']} entries  "
               f"{compile_info['compile_hits']} hits  "
@@ -598,33 +591,7 @@ def _cmd_cache(args) -> int:
               f"{compile_info['prefix_depth_saved']} steps saved by prefixes")
         return 0
     if args.cache_command == "migrate":
-        from repro.core.engine import CACHE_FORMAT_VERSION
-
-        store = CacheStore(directory)
-        migrated = skipped = appended = 0
-        for path in _legacy_pickles(directory):
-            try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
-                version = payload.get("version")
-                if version != CACHE_FORMAT_VERSION:
-                    raise ValueError(
-                        f"cache format version {version}, expected "
-                        f"{CACHE_FORMAT_VERSION}")
-                entries = dict(payload["entries"])
-            except _LEGACY_PICKLE_ERRORS as exc:
-                skipped += 1
-                print(f"skipped {path.name}: {exc}", file=sys.stderr)
-                continue
-            appended += store.append(entries)
-            migrated += 1
-            if not args.keep:
-                path.unlink()
-            print(f"migrated {path.name}: {len(entries)} entries")
-        verb = "kept" if args.keep else "removed"
-        print(f"migrated {migrated} legacy pickle(s) ({verb} afterwards), "
-              f"{appended} new entries appended, {skipped} skipped")
-        return 0
+        return _migrate_legacy_pickles(directory, keep=args.keep)
     if args.cache_command == "export":
         store = CacheStore(directory)
         target = store.export(args.path)

@@ -23,7 +23,6 @@ from repro.core.predictor import (
 )
 from repro.core.sequences import (
     SEQUENCE_KINDS,
-    SequenceSpec,
     nas_candidate_sequences,
     paper_sequences,
     predefined_program,
@@ -89,7 +88,7 @@ __all__ = [
     "random_composition", "register_primitive", "step",
     "FEATURE_NAMES", "encode_batch", "encode_candidate",
     "LatencyPredictor", "PredictorStatistics",
-    "SEQUENCE_KINDS", "SequenceSpec", "nas_candidate_sequences", "paper_sequences",
+    "SEQUENCE_KINDS", "nas_candidate_sequences", "paper_sequences",
     "predefined_program", "random_sequence",
     "TABLE1_PRIMITIVES", "UnifiedSpace", "UnifiedSpaceConfig", "primitive_catalogue",
     "LayerWorkload", "extract_workloads", "total_macs", "unique_shapes",

@@ -35,14 +35,24 @@ clears the cache (see :func:`~repro.core.program.register_primitive`).
 :func:`invalidate` is also exposed directly for tests and tools.
 
 **Bounding.**  The trie is LRU-bounded (:data:`DEFAULT_MAX_ENTRIES`,
-overridable via ``REPRO_COMPILE_CACHE_ENTRIES`` or :func:`configure`).
+overridable via ``REPRO_COMPILE_CACHE_ENTRIES``, read on first use, or
+:func:`configure`).
+
+**One replay loop.**  :func:`_replay` is the only step loop: the cached
+path resumes it from the deepest stored prefix and stores every newly
+reached prefix; the trie-off path and the degraded fallback run it from a
+fresh :class:`~repro.core.program.ProgramState` and store nothing.  The
+test suite keeps the verbatim from-scratch loop as the golden reference
+both are pinned against.
 
 **Concurrency.**  The store is guarded by a lock; replay happens outside
 it.  Two threads replaying the same suffix both produce the identical
 (content-determined) state, so last-writer-wins is safe.  Worker
 *processes* keep their own module-level trie: the engine's executor pools
 are persistent (DESIGN.md §8), so worker caches warm up on the first
-generation and stay warm for the rest of the search.
+generation and stay warm for the rest of the search.  A forked worker
+gets a fresh lock, so a parent thread holding it at fork time cannot
+wedge the child.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from repro.errors import (
     ScheduleError,
     TransformError,
 )
+from repro.utils import env_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.program import PrimitiveApplication, TransformProgram
@@ -127,12 +138,11 @@ class CompileCache:
     """The LRU-bounded, thread-safe prefix trie of compile snapshots."""
 
     def __init__(self, max_entries: int | None = None):
-        if max_entries is None:
-            max_entries = int(os.environ.get("REPRO_COMPILE_CACHE_ENTRIES",
-                                             DEFAULT_MAX_ENTRIES))
-        if max_entries < 1:
+        if max_entries is not None and max_entries < 1:
             raise ValueError("the compile cache needs room for at least one entry")
-        self.max_entries = max_entries
+        #: ``None`` until first use, then ``REPRO_COMPILE_CACHE_ENTRIES``
+        #: (or the default) — see :attr:`max_entries`.
+        self._max_entries = max_entries
         self.enabled = os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
         self.statistics = CompileCacheStatistics()
         self._entries: OrderedDict[tuple, list["Stage"]] = OrderedDict()
@@ -140,6 +150,14 @@ class CompileCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def max_entries(self) -> int:
+        """The LRU bound; the environment knob is read on first use."""
+        if self._max_entries is None:
+            self._max_entries = env_int("REPRO_COMPILE_CACHE_ENTRIES",
+                                        DEFAULT_MAX_ENTRIES, minimum=1)
+        return self._max_entries
 
     # ------------------------------------------------------------------
     # Store access (all under the lock; snapshots cross the boundary as
@@ -205,6 +223,13 @@ class CompileCache:
 COMPILE_CACHE = CompileCache()
 
 
+def _reset_lock_after_fork() -> None:
+    COMPILE_CACHE._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
 def configure(*, max_entries: int | None = None,
               enabled: bool | None = None) -> CompileCache:
     """Adjust the process-wide trie; shrinking the bound evicts eagerly."""
@@ -212,7 +237,7 @@ def configure(*, max_entries: int | None = None,
         if max_entries < 1:
             raise ValueError("the compile cache needs room for at least one entry")
         with COMPILE_CACHE._lock:
-            COMPILE_CACHE.max_entries = max_entries
+            COMPILE_CACHE._max_entries = max_entries
             while len(COMPILE_CACHE._entries) > max_entries:
                 COMPILE_CACHE._entries.popitem(last=False)
                 COMPILE_CACHE.statistics.evictions += 1
@@ -269,10 +294,9 @@ def _restore_names(stages: list["Stage"], name: str) -> list["Stage"]:
 def _disable_trie(exc: Exception) -> None:
     """Degrade: turn the trie off process-wide after an internal error.
 
-    Compilation falls back to :meth:`TransformProgram.compile_uncached`
-    (the golden-pinned reference path), so results are unchanged — only
-    the prefix-sharing speedup is lost until :func:`configure` re-enables
-    the cache.
+    Compilation falls back to an uncached replay through the same step
+    loop, so results are unchanged — only the prefix-sharing speedup is
+    lost until :func:`configure` re-enables the cache.
     """
     COMPILE_CACHE.enabled = False
     COMPILE_CACHE.clear()
@@ -286,12 +310,11 @@ def compile_program(program: "TransformProgram",
                     shape: "ConvolutionShape") -> list["Stage"]:
     """Compile ``program`` for ``shape`` through the prefix trie.
 
-    Semantics (state evolution, optional-step backup/restore, error
-    messages) are exactly those of
-    :meth:`~repro.core.program.TransformProgram.compile_uncached`; the
-    golden tests pin the equivalence.  The deepest cached prefix is
-    cloned and only the remaining suffix is replayed, with every newly
-    reached prefix stored for the next sibling.
+    The deepest cached prefix is cloned and only the remaining suffix is
+    replayed, with every newly reached prefix stored for the next
+    sibling.  With the trie disabled the whole program is replayed from a
+    fresh state through the same loop; the golden tests pin both against
+    the from-scratch reference.
 
     The trie is an accelerator, never a correctness dependency: an
     internal failure in the cached path (a poisoned snapshot, a broken
@@ -300,20 +323,21 @@ def compile_program(program: "TransformProgram",
     uncached, while genuine compile errors (:class:`LegalityError` and
     friends) propagate unchanged.
     """
-    if not COMPILE_CACHE.enabled:
-        return program.compile_uncached(shape)
-    try:
-        return _compile_cached(program, shape)
-    except ReproError:
-        raise  # a real compile rejection, not a cache defect
-    except Exception as exc:
-        _disable_trie(exc)
-        return program.compile_uncached(shape)
+    if COMPILE_CACHE.enabled:
+        try:
+            return _compile_cached(program, shape)
+        except ReproError:
+            raise  # a real compile rejection, not a cache defect
+        except Exception as exc:
+            _disable_trie(exc)
+    from repro.core.program import ProgramState
+
+    return _replay(program, ProgramState(shape, name=program.name), 0)
 
 
 def _compile_cached(program: "TransformProgram",
                     shape: "ConvolutionShape") -> list["Stage"]:
-    from repro.core.program import PRIMITIVE_REGISTRY, ProgramState
+    from repro.core.program import ProgramState
 
     FAULTS.on_compile_lookup()
     steps = program.steps
@@ -337,7 +361,21 @@ def _compile_cached(program: "TransformProgram",
             stats.prefix_hits += 1
             stats.prefix_depth_saved += depth
 
-    for index in range(depth, len(steps)):
+    return _restore_names(_replay(program, state, depth, digests),
+                          program.name)
+
+
+def _replay(program: "TransformProgram", state, start: int,
+            digests: tuple[str, ...] | None = None) -> list["Stage"]:
+    """Apply ``program.steps[start:]`` to ``state``; returns its stages.
+
+    The one step loop.  With ``digests`` every newly reached prefix is
+    stored in the trie (and counted); without, nothing is stored.
+    """
+    from repro.core.program import PRIMITIVE_REGISTRY
+
+    steps = program.steps
+    for index in range(start, len(steps)):
         app = steps[index]
         primitive = PRIMITIVE_REGISTRY.get(app.primitive)
         if primitive is None:
@@ -364,7 +402,8 @@ def _compile_cached(program: "TransformProgram",
                 raise LegalityError(
                     f"{program.name}: {app.describe()} rejected: {error}",
                     primitive=app.primitive, reason=str(error)) from error
-        stats.steps_replayed += 1
-        COMPILE_CACHE.store(shape, index + 1, digests[index], state.stages)
-
-    return _restore_names(state.stages, program.name)
+        if digests is not None:
+            COMPILE_CACHE.statistics.steps_replayed += 1
+            COMPILE_CACHE.store(state.shape, index + 1, digests[index],
+                                state.stages)
+    return state.stages

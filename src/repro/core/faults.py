@@ -46,8 +46,8 @@ span builds):
     quarantine-and-degrade path (``CacheStoreError`` → warning, not
     abort);
 ``cache_enospc``
-    a cache write raises ``OSError(ENOSPC)`` — exercises the
-    scratch-file cleanup and actionable error messages;
+    a cache-store append raises ``OSError(ENOSPC)`` before any bytes
+    land — exercises the engine's quarantine-on-write-failure path;
 ``compile_poison``
     the compile trie's lookup raises :class:`InjectedFault` —
     exercises the disable-the-trie degradation.
@@ -72,6 +72,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
+from repro.utils import env_int
 
 #: Environment variables the registry reads when no plan was installed.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -157,10 +158,7 @@ def _plan_from_env() -> FaultPlan | None:
     text = os.environ.get(FAULTS_ENV)
     if not text:
         return None
-    try:
-        seed = int(os.environ.get(FAULTS_SEED_ENV, "0"))
-    except ValueError:
-        raise ReproError(f"{FAULTS_SEED_ENV} must be an integer") from None
+    seed = env_int(FAULTS_SEED_ENV, 0)
     try:
         hang = float(os.environ.get(FAULTS_HANG_ENV, "0.05"))
     except ValueError:
@@ -181,7 +179,7 @@ class FaultRegistry:
 
         FAULTS.install(FaultPlan(rates={"cache_enospc": 1.0}))
         try:
-            engine.save_cache(path)
+            engine.save_cache()  # the store append fails; it quarantines
         finally:
             FAULTS.install(None)
     """

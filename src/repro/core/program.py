@@ -610,51 +610,12 @@ class TransformProgram:
         program sharing a step prefix with a previously compiled sibling
         replays only the differing suffix, and a repeated compile is a
         snapshot clone.  The returned stages are always private copies;
-        results are bit-identical to :meth:`compile_uncached` (pinned by
-        the golden tests).
+        results are bit-identical to a from-scratch compile (pinned by
+        the golden tests against the test suite's reference loop).
         """
         from repro.core import compile_cache
 
         return compile_cache.compile_program(self, shape)
-
-    def compile_uncached(self, shape: ConvolutionShape) -> list[Stage]:
-        """The from-scratch compile loop, bypassing the prefix trie.
-
-        Kept as the golden reference the incremental path is pinned
-        against (and as the fallback when the trie is disabled).
-        """
-        state = ProgramState(shape, name=self.name)
-        for app in self.steps:
-            primitive = PRIMITIVE_REGISTRY.get(app.primitive)
-            if primitive is None:
-                raise LegalityError(f"unknown primitive '{app.primitive}'",
-                                    primitive=app.primitive,
-                                    reason="not registered")
-            # A skipped optional step must be a no-op even when it fails
-            # partway through a multi-nest application, so snapshot the
-            # stages it may touch and restore them on failure.
-            backup = [stage.clone() for stage in state.stages] if app.optional else None
-            try:
-                primitive.apply(state, app)
-            except LegalityError as error:
-                if app.optional:
-                    state.stages = backup
-                    continue
-                raise LegalityError(
-                    f"{self.name}: {app.describe()} rejected: {error.reason}",
-                    primitive=app.primitive, reason=error.reason) from error
-            except (TransformError, ScheduleError) as error:
-                if app.optional:
-                    state.stages = backup
-                    continue
-                raise LegalityError(
-                    f"{self.name}: {app.describe()} rejected: {error}",
-                    primitive=app.primitive, reason=str(error)) from error
-        return state.stages
-
-    # Legacy-facing aliases kept so the IR slots where SequenceSpec lived.
-    def build_stages(self, shape: ConvolutionShape) -> list[Stage]:
-        return self.compile(shape)
 
     def build_computations(self, shape: ConvolutionShape) -> list[Computation]:
         """The transformed computations (structural part only, no annotations)."""

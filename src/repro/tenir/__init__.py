@@ -20,7 +20,6 @@ from repro.tenir.autotune import (
     default_schedule,
     gpu_schedule,
     naive_schedule,
-    reference_tune,
     sample_parameters,
     shared_tuning_context,
 )
@@ -33,7 +32,7 @@ __all__ = [
     "LoweredAccess", "LoweredLoop", "LoweredNest", "lower",
     "AutoTuner", "ScheduleParameters", "TuningContext", "TuningResult",
     "classify_loops", "clear_tuning_contexts", "cpu_schedule", "default_schedule",
-    "gpu_schedule", "naive_schedule", "reference_tune", "sample_parameters",
+    "gpu_schedule", "naive_schedule", "sample_parameters",
     "shared_tuning_context",
     "output_shape", "run", "run_computation",
 ]

@@ -15,8 +15,12 @@ auto-tuner amortises template analysis across measurements.  Trials whose
 parameters instantiate the same schedule are deduplicated, structural
 schedule state is cached and cloned instead of rebuilt, and the surviving
 candidates are scored through the vectorised batch cost model.  The
-results are bit-identical to the pre-fast-path loop, which is kept as
-:func:`reference_tune` and pinned by golden tests.
+results are bit-identical to the pre-fast-path loop, which the test
+suite keeps verbatim as its golden reference.
+
+Batches of tunings go through the supervised
+:meth:`~repro.core.engine.EvaluationEngine.tune_many`; the tuner itself
+tunes one computation per :meth:`AutoTuner.tune` call.
 """
 
 from __future__ import annotations
@@ -29,16 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.hardware.cost_model import (
-    LatencyEstimate,
-    estimate_latency,
-    estimate_latency_batch,
-)
+from repro.hardware.cost_model import LatencyEstimate, estimate_latency_batch
 from repro.hardware.platform import PlatformSpec
 from repro.tenir.expr import Computation
 from repro.tenir.lower import LoweredNest, analyse_accesses, lower
 from repro.tenir.schedule import Stage, create_schedule
-from repro.utils import divisors, make_rng
+from repro.utils import divisors, env_int, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +472,37 @@ class TuningContext:
 # ---------------------------------------------------------------------------
 # Shared tuning contexts
 # ---------------------------------------------------------------------------
-#: LRU bound on the process-wide context store (override with
-#: ``REPRO_TUNING_CONTEXTS``).  Each entry holds one template analysis plus
-#: its structural/lowering caches — small relative to a single tuning run.
-DEFAULT_MAX_CONTEXTS = int(os.environ.get("REPRO_TUNING_CONTEXTS", "512"))
+#: Default LRU bound on the process-wide context store (override with
+#: ``REPRO_TUNING_CONTEXTS``, read on first use).  Each entry holds one
+#: template analysis plus its structural/lowering caches — small relative
+#: to a single tuning run.
+DEFAULT_MAX_CONTEXTS = 512
 
 _shared_contexts: "OrderedDict[tuple[Computation, PlatformSpec], TuningContext]" = (
     OrderedDict())
 _shared_contexts_lock = threading.Lock()
+_max_contexts: int | None = None
+
+
+def _context_limit() -> int:
+    global _max_contexts
+    if _max_contexts is None:
+        _max_contexts = env_int("REPRO_TUNING_CONTEXTS", DEFAULT_MAX_CONTEXTS,
+                                minimum=0)
+    return _max_contexts
+
+
+def _reset_lock_after_fork() -> None:
+    """Give a forked child a fresh, unheld context lock.
+
+    The engine's process pools fork; a child that inherited the lock
+    while another parent thread held it would block on its first tune.
+    """
+    global _shared_contexts_lock
+    _shared_contexts_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_after_fork)
 
 
 def shared_tuning_context(computation: Computation,
@@ -506,11 +529,12 @@ def shared_tuning_context(computation: Computation,
             _shared_contexts.move_to_end(key)
             return context
     built = TuningContext.build(computation, platform)
+    limit = _context_limit()
     with _shared_contexts_lock:
         context = _shared_contexts.get(key)
         if context is None:
             _shared_contexts[key] = context = built
-            while len(_shared_contexts) > DEFAULT_MAX_CONTEXTS:
+            while len(_shared_contexts) > limit:
                 _shared_contexts.popitem(last=False)
     return context
 
@@ -539,43 +563,6 @@ class TuningResult:
         return self.estimate.seconds
 
 
-def _tune_task(args: tuple[int, int | None, Computation, PlatformSpec]) -> TuningResult:
-    """Tune one computation; a picklable top-level entry for process pools."""
-    trials, seed, computation, platform = args
-    return AutoTuner(trials=trials, seed=seed).tune(computation, platform)
-
-
-def reference_tune(computation: Computation, platform: PlatformSpec,
-                   trials: int = 16, seed: int | None = None) -> TuningResult:
-    """The pre-fast-path tuning loop, kept verbatim as the golden reference.
-
-    Rebuilds the schedule, re-classifies loops, re-lowers and runs the
-    scalar cost model from scratch on every trial — exactly what
-    :meth:`AutoTuner.tune` did before the :class:`TuningContext` fast
-    path.  The equivalence tests and the throughput benchmark compare the
-    fast path against this function; it is not meant for production use.
-    """
-    if trials < 1:
-        raise ScheduleError("the tuner needs at least one trial")
-    rng = make_rng(seed)
-    best: TuningResult | None = None
-    for trial in range(trials):
-        params = (ScheduleParameters() if trial == 0
-                  else sample_parameters(computation, platform, rng))
-        try:
-            stage = default_schedule(computation, platform, params)
-        except ScheduleError:
-            continue
-        nest = lower(stage)
-        estimate = estimate_latency(nest, platform)
-        candidate = TuningResult(stage, nest, estimate, params, trials)
-        if best is None or candidate.seconds < best.seconds:
-            best = candidate
-    if best is None:
-        raise ScheduleError("auto-tuning failed to produce a single valid schedule")
-    return best
-
-
 class AutoTuner:
     """Random search over schedule-template parameters."""
 
@@ -596,9 +583,9 @@ class AutoTuner:
         ``(stage, nest, estimate)`` triple per key, so a re-tune at a new
         fidelity or from a new engine session only pays for keys it has
         never seen), and freshly surviving candidates go through the
-        vectorised batch cost model.  Results are bit-identical to
-        :func:`reference_tune` (the pre-fast-path loop) for any seed:
-        every memoised value equals its recomputation.
+        vectorised batch cost model.  Results are bit-identical to the
+        pre-fast-path loop (the test suite's golden reference) for any
+        seed: every memoised value equals its recomputation.
         """
         rng = make_rng(self.seed)
         if context is None:
@@ -649,27 +636,3 @@ class AutoTuner:
             raise ScheduleError("auto-tuning failed to produce a single valid schedule")
         params, (stage, nest, estimate) = chosen[best_key]
         return TuningResult(stage, nest, estimate, params, self.trials)
-
-    def tune_many(self, computations: list[Computation], platform: PlatformSpec,
-                  *, parallel: str = "serial",
-                  max_workers: int | None = None) -> list[TuningResult]:
-        """Tune a batch of computations, optionally on an executor pool.
-
-        Each :meth:`tune` call seeds a fresh RNG from ``self.seed``, so the
-        results are independent of evaluation order and the parallel modes
-        (``"thread"`` / ``"process"``) return exactly the serial results.
-        """
-        computations = list(computations)
-        if parallel == "serial" or len(computations) < 2:
-            return [self.tune(computation, platform) for computation in computations]
-        tasks = [(self.trials, self.seed, computation, platform)
-                 for computation in computations]
-        if parallel == "thread":
-            from concurrent.futures import ThreadPoolExecutor as Executor
-        elif parallel == "process":
-            from concurrent.futures import ProcessPoolExecutor as Executor
-        else:
-            raise ScheduleError(
-                f"unknown parallel mode '{parallel}'; expected 'serial', 'thread' or 'process'")
-        with Executor(max_workers=max_workers) as pool:
-            return list(pool.map(_tune_task, tasks))

@@ -3,13 +3,36 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.errors import ReproError
+
 _DEFAULT_SEED = 0x5EED
+
+
+def env_int(name: str, default: int, minimum: int | None = None) -> int:
+    """An integer ``REPRO_*`` environment knob, validated.
+
+    Returns ``default`` when ``name`` is unset.  A value that is not an
+    integer, or is below ``minimum``, raises :class:`ReproError` naming
+    the variable, so a mistyped knob surfaces as a typed library error
+    (and a clean CLI message) instead of a bare ``ValueError``.
+    """
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        raise ReproError(f"{name} must be an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise ReproError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def wait_until(predicate: Callable[[], object], *, timeout: float,

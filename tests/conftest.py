@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data import SyntheticImageDataset
 from repro.poly.statement import ConvolutionShape
+
+# The golden references (tests/reference/) import as ``tests.reference``
+# from both suites, however pytest was launched.
+REPO_ROOT = str(Path(__file__).resolve().parents[1])
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 @pytest.fixture

@@ -20,9 +20,9 @@ from repro.core.cache_store import (
     key_digest,
     key_from_document,
 )
-from repro.core.engine import CACHE_FORMAT_VERSION, EvaluationEngine
+from repro.core.engine import EvaluationEngine
 from repro.core.sequences import predefined_program
-from repro.errors import CacheStoreError, EngineError
+from repro.errors import CacheStoreError
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
 from repro.tenir.autotune import AutoTuner
@@ -181,12 +181,6 @@ class TestEngineIntegration:
         assert engine.load_cache() == len(entries)
         assert engine.statistics.loaded_entries == len(entries)
 
-    def test_cache_path_and_store_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(EngineError, match="not both"):
-            EvaluationEngine(get_platform("cpu"),
-                             cache_path=tmp_path / "x.pkl",
-                             cache_store=str(tmp_path))
-
 
 class TestCorruptionTolerance:
     def test_version_gate(self, tmp_path):
@@ -311,33 +305,23 @@ class TestFleetExchange:
             CacheStore(tmp_path).import_(bogus)
 
 
+#: The format the retired pickle backend wrote (``repro cache migrate``
+#: still reads it): a dict envelope around the engine's latency table.
+LEGACY_PICKLE_VERSION = 2
+
+
 class TestLegacyPickles:
-    def _legacy_engine(self, tmp_path, tune_counter=None):
-        platform = get_platform("cpu")
-        path = tmp_path / "engine-cpu-t3-s0.pkl"
-        engine = EvaluationEngine(platform, tuner_trials=3, seed=0,
-                                  cache_path=path)
+    def _legacy_engine(self, tmp_path):
+        """A tuned engine plus the legacy pickle an older build would
+        have written for it."""
+        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
         engine.tuned_latency(ConvolutionShape(8, 8, 6, 6, 3, 3),
                              predefined_program("standard"))
-        engine.save_cache()
+        path = tmp_path / "engine-cpu-t3-s0.pkl"
+        with open(path, "wb") as handle:
+            pickle.dump({"version": LEGACY_PICKLE_VERSION,
+                         "entries": engine.cache_entries()}, handle)
         return engine, path
-
-    def test_save_cache_failure_leaves_no_scratch_file(self, tmp_path,
-                                                       monkeypatch):
-        engine, path = self._legacy_engine(tmp_path)
-        good = path.read_bytes()
-        engine.tuned_latency(ConvolutionShape(16, 8, 6, 6, 3, 3),
-                             predefined_program("standard"))
-
-        def explode(payload, handle):
-            handle.write(b"partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(pickle, "dump", explode)
-        with pytest.raises(EngineError, match="disk full"):
-            engine.save_cache()
-        assert list(tmp_path.glob("*.tmp.*")) == []
-        assert path.read_bytes() == good, "the synced store must be untouched"
 
     def test_migrate_cli_upgrades_in_place(self, tmp_path, capsys,
                                            tune_counter):
@@ -359,14 +343,17 @@ class TestLegacyPickles:
         _, path = self._legacy_engine(tmp_path)
         stale = tmp_path / "engine-cpu-t9-s9.pkl"
         with open(stale, "wb") as handle:
-            pickle.dump({"version": CACHE_FORMAT_VERSION - 1, "entries": {}},
+            pickle.dump({"version": LEGACY_PICKLE_VERSION - 1, "entries": {}},
                         handle)
+        corrupt = tmp_path / "engine-gpu-t3-s0.pkl"
+        corrupt.write_bytes(b"\x00not a pickle at all")
         assert cli_main(["cache", "migrate", "--cache-dir", str(tmp_path),
                          "--keep"]) == 0
         captured = capsys.readouterr()
-        assert path.exists() and stale.exists()
-        assert "1 skipped" in captured.out
+        assert path.exists() and stale.exists() and corrupt.exists()
+        assert "2 skipped" in captured.out
         assert "skipped engine-cpu-t9-s9.pkl" in captured.err
+        assert "skipped engine-gpu-t3-s0.pkl" in captured.err
 
     def test_export_import_cli(self, tmp_path, capsys):
         source, target = tmp_path / "a", tmp_path / "b"

@@ -185,11 +185,14 @@ class TestCache:
         compile_info = payload["compile_cache"]
         assert compile_info["max_entries"] > 0
         assert compile_info["compile_misses"] >= 0
-        # clear deletes only recognised store files and reports the rest.
+        # clear deletes only recognised store files and reports the rest
+        # (a legacy pickle is left for `repro cache migrate`).
         (tmp_path / "notes.txt").write_text("precious")
+        (tmp_path / "engine-cpu-t3-s0.pkl").write_bytes(b"\x80legacy")
         out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
         assert "removed 2 cache store file(s)" in out  # segment + lock file
         assert "skipped notes.txt" in out
+        assert "skipped engine-cpu-t3-s0.pkl" in out
         assert (tmp_path / "notes.txt").exists()
         assert "no engine cache stores" in run_cli(
             capsys, "cache", "info", "--cache-dir", str(tmp_path))
@@ -199,11 +202,10 @@ class TestCache:
                 "--cache-dir", str(tmp_path))
         payload = json.loads(run_cli(capsys, "cache", "info",
                                      "--cache-dir", str(tmp_path), "--json"))
-        assert set(payload) == {"stores", "legacy_pickles", "compile_cache"}
+        assert set(payload) == {"stores", "compile_cache"}
         assert isinstance(payload["stores"], list) and payload["stores"]
         for row in payload["stores"]:
             assert_schema(row, CACHE_STORE_ROW_SCHEMA, context="stores row")
-        assert isinstance(payload["legacy_pickles"], list)
         assert_schema(payload["compile_cache"], COMPILE_CACHE_SCHEMA,
                       context="compile_cache")
 

@@ -1,8 +1,8 @@
 """Golden tests for the incremental compile trie (core/compile_cache).
 
 The contract: :meth:`TransformProgram.compile` (prefix-memoised) is
-bit-identical to :meth:`TransformProgram.compile_uncached` (the
-from-scratch loop kept verbatim as the golden reference) for every
+bit-identical to ``compile_from_scratch`` (the from-scratch loop kept
+verbatim in ``tests/reference/compile.py``) for every
 program, and prefix sharing never aliases mutable state between
 siblings.  On top of the stage-level goldens, whole searches must be
 unaffected: every registered strategy, across seeds and engine modes,
@@ -33,6 +33,7 @@ from repro.errors import LegalityError
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
 from repro.utils import make_rng
+from tests.reference.compile import compile_from_scratch
 
 SHAPES = (
     ConvolutionShape(16, 16, 8, 8, 3, 3),
@@ -50,7 +51,7 @@ def _stage_state(stage) -> tuple:
 
 def _compile_states(program: TransformProgram, shape: ConvolutionShape,
                     *, uncached: bool = False):
-    compiled = (program.compile_uncached(shape) if uncached
+    compiled = (compile_from_scratch(program, shape) if uncached
                 else program.compile(shape))
     return [_stage_state(stage) for stage in compiled]
 
@@ -91,6 +92,24 @@ class TestGoldenCompileEquality:
                             program.compile(shape)
                         continue
                     assert _compile_states(program, shape) == expected
+
+    def test_trie_off_replays_without_storing(self):
+        """The trie-off path runs the shared loop from a fresh state."""
+        compile_cache.COMPILE_CACHE.clear()
+        compile_cache.configure(enabled=False)
+        try:
+            before = compile_cache.COMPILE_CACHE.statistics.snapshot()
+            for program in _catalogue():
+                for shape in SHAPES:
+                    if not program.applicable(shape):
+                        continue
+                    assert _compile_states(program, shape) == \
+                        _compile_states(program, shape, uncached=True), \
+                        (program.name, shape)
+            assert len(compile_cache.COMPILE_CACHE) == 0
+            assert compile_cache.COMPILE_CACHE.statistics == before
+        finally:
+            compile_cache.configure(enabled=True)
 
     def test_repeated_compile_is_stable(self):
         """A snapshot-clone re-compile equals the first compile exactly."""

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import SequenceSpec, UnifiedSpaceConfig, compare_approaches
+from repro.core import (
+    TransformProgram,
+    UnifiedSpaceConfig,
+    compare_approaches,
+    predefined_program,
+)
 from repro.core.engine import EvaluationEngine
 from repro.core.pipeline import PipelineScale
 from repro.core.search import (
@@ -56,10 +61,10 @@ def tune_counter(monkeypatch):
     return calls
 
 
-def _items(n: int = 6) -> list[tuple[ConvolutionShape, SequenceSpec]]:
+def _items(n: int = 6) -> list[tuple[ConvolutionShape, TransformProgram]]:
     shapes = [ConvolutionShape(8 * (1 + i % 2), 8, 4 + 2 * (i % 3), 4 + 2 * (i % 3), 3, 3)
               for i in range(n)]
-    sequences = [SequenceSpec(kind="standard"), SequenceSpec(kind="group", group=2)]
+    sequences = [predefined_program("standard"), predefined_program("group", group=2)]
     return [(shape, sequences[i % 2]) for i, shape in enumerate(shapes)]
 
 
@@ -67,9 +72,9 @@ class TestEngineCache:
     def test_tuned_latency_is_memoised(self, tune_counter):
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        first = engine.tuned_latency(shape, SequenceSpec(kind="standard"))
+        first = engine.tuned_latency(shape, predefined_program("standard"))
         calls = tune_counter["count"]
-        second = engine.tuned_latency(shape, SequenceSpec(kind="standard"))
+        second = engine.tuned_latency(shape, predefined_program("standard"))
         assert first == second
         assert tune_counter["count"] == calls
         assert engine.statistics.latency_hits == 1
@@ -99,32 +104,18 @@ class TestEngineCache:
     def test_tune_many_deduplicates_and_orders(self, tune_counter):
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         results = engine.tune_many([(shape, standard)] * 4)
         assert len(results) == 4 and len(set(results)) == 1
         assert tune_counter["count"] == 1
         assert engine.cache_size == 1
-
-    def test_autotuner_tune_many_parallel_equals_serial(self):
-        from repro.tenir.expr import conv2d_compute
-
-        platform = get_platform("cpu")
-        computations = [conv2d_compute(shape) for shape, _ in _items(4)]
-        tuner = AutoTuner(trials=3, seed=0)
-        serial = [r.seconds for r in tuner.tune_many(computations, platform)]
-        threaded = [r.seconds for r in
-                    tuner.tune_many(computations, platform, parallel="thread")]
-        forked = [r.seconds for r in
-                  tuner.tune_many(computations, platform, parallel="process",
-                                  max_workers=2)]
-        assert serial == threaded == forked
 
     def test_seed_is_part_of_the_key(self):
         platform = get_platform("cpu")
         engine_a = EvaluationEngine(platform, tuner_trials=4, seed=0)
         engine_b = EvaluationEngine(platform, tuner_trials=4, seed=7)
         shape = ConvolutionShape(16, 16, 8, 8, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         engine_a.tuned_latency(shape, standard)
         engine_b.tuned_latency(shape, standard)
         assert engine_a.cache_keys() != engine_b.cache_keys()
@@ -141,39 +132,37 @@ class TestEngineCache:
 
 class TestDiskCache:
     def test_round_trip(self, tmp_path, tune_counter):
-        path = tmp_path / "latency.pkl"
         platform = get_platform("cpu")
-        engine = EvaluationEngine(platform, tuner_trials=3, seed=0, cache_path=path)
+        engine = EvaluationEngine(platform, tuner_trials=3, seed=0,
+                                  cache_store=tmp_path)
         reference = engine.tune_many(_items())
         engine.save_cache()
         cold_calls = tune_counter["count"]
 
-        warm = EvaluationEngine(platform, tuner_trials=3, seed=0, cache_path=path)
+        warm = EvaluationEngine(platform, tuner_trials=3, seed=0,
+                                cache_store=tmp_path)
         assert warm.statistics.loaded_entries == engine.cache_size
         assert warm.tune_many(_items()) == reference
         assert tune_counter["count"] == cold_calls, "persisted entries must not re-tune"
 
     def test_different_trials_do_not_collide(self, tmp_path):
-        path = tmp_path / "latency.pkl"
         platform = get_platform("cpu")
-        engine = EvaluationEngine(platform, tuner_trials=3, seed=0, cache_path=path)
+        engine = EvaluationEngine(platform, tuner_trials=3, seed=0,
+                                  cache_store=tmp_path)
         engine.tune_many(_items(2))
         engine.save_cache()
-        other = EvaluationEngine(platform, tuner_trials=5, seed=0, cache_path=path)
+        other = EvaluationEngine(platform, tuner_trials=5, seed=0,
+                                 cache_store=tmp_path)
         shape, sequence = _items(2)[0]
         other.tuned_latency(shape, sequence)
         assert other.statistics.tuner_calls > 0, "other trial count is a different key"
 
-    def test_corrupt_cache_raises(self, tmp_path):
-        path = tmp_path / "latency.pkl"
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(EngineError):
-            EvaluationEngine(get_platform("cpu"), cache_path=path)
-
-    def test_save_without_path_raises(self):
+    def test_save_and_load_without_a_store_raise(self):
         engine = EvaluationEngine(get_platform("cpu"))
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="cache_store"):
             engine.save_cache()
+        with pytest.raises(EngineError, match="cache_store"):
+            engine.load_cache()
 
 
 class TestStrategyRegistry:

@@ -8,7 +8,6 @@ import pytest
 from repro import nn
 from repro.core import (
     PipelineScale,
-    SequenceSpec,
     UnifiedSearch,
     UnifiedSpaceConfig,
     compare_approaches,

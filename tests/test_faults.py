@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import warnings
 
 import pytest
@@ -30,6 +31,8 @@ from repro.errors import (
 )
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
+from repro.tenir import autotune
+from tests.reference.compile import compile_from_scratch
 
 #: search_statistics keys that depend on wall clock or on the process-global
 #: compile trie's warmth, not on the search's decisions.
@@ -202,6 +205,49 @@ class TestSupervisedParallel:
             second = engine._executor("thread", 2)
             assert second is not first
 
+    def test_fork_while_a_thread_holds_the_module_locks(self):
+        """A forked pool worker gets fresh tuning-context and trie locks.
+
+        Without the fork handlers, a worker forked while another parent
+        thread holds either lock inherits it held and blocks on its first
+        task: the watchdog then fails the batch with ``EngineError``.
+        """
+        items = _items()
+        golden = EvaluationEngine(get_platform("cpu"), tuner_trials=2,
+                                  seed=0).tune_many(items)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_locks() -> None:
+            with autotune._shared_contexts_lock, COMPILE_CACHE._lock:
+                holding.set()
+                release.wait(timeout=120)
+
+        holder = threading.Thread(target=hold_locks)
+        holder.start()
+        assert holding.wait(timeout=30)
+        engine = EvaluationEngine(
+            get_platform("cpu"), tuner_trials=2, seed=0,
+            supervision=SupervisionPolicy(task_timeout_seconds=20.0,
+                                          max_retries=0))
+        try:
+            # max_retries=0 leaves no room for ambient injected faults;
+            # the workers fork inside this block and inherit the plan.
+            with faults.suppressed():
+                latencies = engine.tune_many(items, parallel="process",
+                                             max_workers=2)
+        except EngineError:
+            # Stuck workers never exit on their own; end them so the
+            # failure is reported instead of hanging the suite.
+            for pool in engine._pools.values():
+                for process in list(pool._processes.values()):
+                    process.kill()
+            raise
+        finally:
+            release.set()
+            holder.join()
+        engine.close()
+        assert latencies == golden
+
 
 # ---------------------------------------------------------------------------
 # Graceful degradation: quarantined store, disabled trie
@@ -249,7 +295,7 @@ class TestDegradation:
     def test_compile_poison_disables_the_trie(self):
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
         program = predefined_program("standard")
-        golden = program.compile_uncached(shape)
+        golden = compile_from_scratch(program, shape)
         with faults.inject(compile_poison=1.0):
             with pytest.warns(DegradedExecutionWarning,
                               match="compile cache disabled"):
@@ -270,50 +316,6 @@ class TestDegradation:
             engine.save_cache()
         assert [e.kind for e in events] == ["degraded"]
         assert events[0].data["component"] == "cache_store"
-
-
-# ---------------------------------------------------------------------------
-# save_cache / load_cache error paths (the satellite)
-# ---------------------------------------------------------------------------
-class TestPersistenceErrorPaths:
-    def _pickle_engine(self, path):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
-                                  cache_path=path)
-        engine.tuned_latency(ConvolutionShape(8, 8, 6, 6, 3, 3),
-                             predefined_program("standard"))
-        return engine
-
-    def test_unwritable_directory_is_an_actionable_error(self, tmp_path):
-        # the cache "directory" is a plain file, so every write attempt
-        # fails with NotADirectoryError (works even when running as root,
-        # where chmod 0o500 would not stop us)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("in the way")
-        engine = self._pickle_engine(tmp_path / "warm.pkl")
-        engine._cache_dirty = True
-        with pytest.raises(EngineError, match="writable"):
-            engine.save_cache(blocker / "engine.pkl")
-        assert list(tmp_path.glob("*.tmp.*")) == []
-
-    def test_enospc_fault_is_an_actionable_error(self, tmp_path):
-        engine = self._pickle_engine(tmp_path / "engine.pkl")
-        with faults.inject(cache_enospc=1.0):
-            with pytest.raises(EngineError, match="free space"):
-                engine.save_cache()
-        assert list(tmp_path.glob("*.tmp.*")) == []
-        engine.save_cache()  # transient: the next save succeeds
-
-    def test_corrupt_pickle_header_is_an_actionable_error(self, tmp_path):
-        victim = tmp_path / "engine.pkl"
-        victim.write_bytes(b"\x00not a pickle at all")
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
-        with pytest.raises(EngineError, match="unreadable engine cache"):
-            engine.load_cache(victim)
-
-    def test_missing_cache_file_raises_file_not_found(self, tmp_path):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
-        with pytest.raises(FileNotFoundError):
-            engine.load_cache(tmp_path / "absent.pkl")
 
 
 # ---------------------------------------------------------------------------

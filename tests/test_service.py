@@ -20,7 +20,6 @@ from repro.core.events import Observable
 from repro.errors import ReproError, ServiceError
 from repro.service import Client, JobStore, OptimizationService
 from repro.service import protocol
-from repro.utils import wait_until
 
 #: Small enough for CI, big enough that a search spans several batches.
 TINY = dict(model="resnet18", strategy="greedy", configurations=6,
@@ -212,17 +211,28 @@ class TestStopResume:
         golden = serial_golden(request)
 
         service = OptimizationService(state, workers=1)
+        # Hold the job inside its first tune_batch (the engine feeds every
+        # event to the daemon's warm surrogate first), so the stop below
+        # always lands while the job is running, however fast it is.
+        reached, release = threading.Event(), threading.Event()
+        feed_warm = service._feed_warm
+
+        def holding_feed(platform, event):
+            if event.kind == "tune_batch" and not reached.is_set():
+                reached.set()
+                release.wait(timeout=120)
+            feed_warm(platform, event)
+
+        service._feed_warm = holding_feed
         service.start()
         client = Client(state_dir=state)
         job_id = client.submit(request)
-        # Let the job pay for some tunings, then stop the daemon under it.
-        events_path = service.events_path(job_id)
         try:
-            wait_until(lambda: events_path.exists()
-                       and "tune_batch" in events_path.read_text(),
-                       timeout=120, description="the job's first tune_batch")
-        except TimeoutError:
-            pytest.fail("the job never started tuning")
+            if not reached.wait(timeout=120):
+                pytest.fail("the job never started tuning")
+            service.request_stop()
+        finally:
+            release.set()
         service.stop()
 
         interrupted = JobStore(state / "jobs").get(job_id)

@@ -2,13 +2,15 @@
 
 The contract under test is *bit-identical results, much less work*:
 
-* ``estimate_latency_batch`` must equal ``estimate_latency`` exactly on
-  arbitrary lowered nests (the scalar path is the reference);
+* ``estimate_latency_batch`` (and the public single-nest entry points
+  that delegate to it) must equal the scalar reference in
+  ``tests/reference/cost_model.py`` exactly on arbitrary lowered nests;
 * ``AutoTuner.tune`` must return the same ``TuningResult.seconds`` (and
   parameters, and nest) as ``reference_tune`` — the pre-fast-path loop
-  kept verbatim — for any seed, while instantiating far fewer schedules;
-* the engine's persistent pool and incremental ``save_cache`` change no
-  observable latency, only the wall clock and the write traffic.
+  kept verbatim in ``tests/reference/tuner.py`` — for any seed, while
+  instantiating far fewer schedules;
+* the engine's persistent pool changes no observable latency, only the
+  wall clock.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import SequenceSpec
+from repro.core import predefined_program
 from repro.core.engine import EvaluationEngine
-from repro.hardware import estimate_latency, estimate_latency_batch, get_platform
+from repro.hardware import (
+    estimate_dram_traffic,
+    estimate_latency,
+    estimate_latency_batch,
+    get_platform,
+)
 from repro.hardware.measure import measure_network
 from repro.poly.statement import ConvolutionShape
 from repro.tenir import (
@@ -31,10 +38,11 @@ from repro.tenir import (
     dense_compute,
     lower,
     naive_schedule,
-    reference_tune,
     sample_parameters,
 )
 from repro.utils import divisors, make_rng
+from tests.reference import cost_model as reference_cost_model
+from tests.reference.tuner import reference_tune
 
 PLATFORMS = ("cpu", "gpu", "mcpu", "mgpu")
 
@@ -70,10 +78,16 @@ class TestBatchCostModelEquivalence:
             batch = estimate_latency_batch(nests, platform)
             assert len(batch) == len(nests)
             for nest, batched in zip(nests, batch):
-                scalar = estimate_latency(nest, platform)
+                scalar = reference_cost_model.estimate_latency(nest, platform)
                 # Frozen-dataclass equality covers every field, including
                 # the seconds, the traffic and the quality factors.
                 assert batched == scalar
+                assert estimate_latency(nest, platform) == scalar
+                assert (estimate_dram_traffic(nest, platform.cache_bytes)
+                        == reference_cost_model.estimate_dram_traffic(
+                            nest, platform.cache_bytes)
+                        == reference_cost_model.vectorised_dram_traffic(
+                            nest, platform.cache_bytes))
 
     def test_empty_batch(self):
         assert estimate_latency_batch([], get_platform("cpu")) == []
@@ -103,7 +117,8 @@ class TestBatchCostModelEquivalence:
         nests = _random_nests(platform, count=6)
         measured = measure_network(nests, platform)
         assert measured.layer_seconds() == [
-            estimate_latency(nest, platform).seconds for nest in nests]
+            reference_cost_model.estimate_latency(nest, platform).seconds
+            for nest in nests]
 
 
 class TestTunerFastPath:
@@ -155,25 +170,13 @@ class TestTunerFastPath:
         assert 0 < calls["count"] < trials, (
             "the small parameter space must dedupe most of the 64 trials")
 
-    def test_tune_many_modes_bit_identical(self):
-        computations = [conv2d_compute(shape) for shape in SHAPES[:4]]
-        platform = get_platform("cpu")
-        tuner = AutoTuner(trials=6, seed=0)
-        serial = [r.seconds for r in tuner.tune_many(computations, platform)]
-        threaded = [r.seconds for r in
-                    tuner.tune_many(computations, platform, parallel="thread")]
-        forked = [r.seconds for r in
-                  tuner.tune_many(computations, platform, parallel="process",
-                                  max_workers=2)]
-        assert serial == threaded == forked
-
 
 class TestEngineFastPath:
     def test_duplicate_missing_requests_count_as_misses(self):
         """Per-request accounting against the pre-call cache state."""
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         engine.tune_many([(shape, standard), (shape, standard)])
         assert engine.statistics.latency_misses == 2
         assert engine.statistics.latency_hits == 0
@@ -186,21 +189,21 @@ class TestEngineFastPath:
         """Strategy read-backs after a batched submission leave stats alone."""
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         tuned = engine.tune_many([(shape, standard)])
         before = (engine.statistics.latency_hits, engine.statistics.latency_misses)
         assert engine.cached_latency(shape, standard) == tuned[0]
         assert (engine.statistics.latency_hits,
                 engine.statistics.latency_misses) == before
         # A genuine miss falls back to the counting (and tuning) path.
-        grouped = SequenceSpec(kind="group", group=2)
+        grouped = predefined_program("group", group=2)
         assert engine.cached_latency(shape, grouped) > 0
         assert engine.statistics.latency_misses == before[1] + 1
 
     def test_persistent_pool_reused_and_closed(self):
         shapes = SHAPES[:3]
-        standard = SequenceSpec(kind="standard")
-        grouped = SequenceSpec(kind="group", group=2)
+        standard = predefined_program("standard")
+        grouped = predefined_program("group", group=2)
         with EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0) as engine:
             engine.tune_many([(s, standard) for s in shapes], parallel="thread",
                              max_workers=2)
@@ -218,7 +221,7 @@ class TestEngineFastPath:
         assert extra[0] > 0
 
     def test_parallel_modes_identical_through_persistent_pool(self):
-        items = [(shape, SequenceSpec(kind="standard")) for shape in SHAPES[:4]]
+        items = [(shape, predefined_program("standard")) for shape in SHAPES[:4]]
         platform = get_platform("cpu")
         reference = EvaluationEngine(platform, tuner_trials=3, seed=0).tune_many(items)
         for mode in ("thread", "process"):
@@ -228,34 +231,6 @@ class TestEngineFastPath:
                 first = engine.tune_many(items[:half], parallel=mode, max_workers=2)
                 second = engine.tune_many(items[half:], parallel=mode, max_workers=2)
                 assert first + second == reference
-
-    def test_save_cache_skips_clean_rewrites(self, tmp_path):
-        path = tmp_path / "latency.pkl"
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
-                                  cache_path=path)
-        shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        engine.tuned_latency(shape, SequenceSpec(kind="standard"))
-        engine.save_cache()
-        # Clobber the file out-of-band: a clean engine must NOT rewrite it.
-        path.write_bytes(b"sentinel")
-        assert engine.save_cache() == path
-        assert path.read_bytes() == b"sentinel"
-        # A new entry dirties the cache and the next save really writes.
-        engine.tuned_latency(shape, SequenceSpec(kind="group", group=2))
-        engine.save_cache()
-        assert path.read_bytes() != b"sentinel"
-        warm = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
-                                cache_path=path)
-        assert warm.statistics.loaded_entries == 2
-        # The constructor load syncs the store: saving straight back to the
-        # same path is also a no-op.
-        path.write_bytes(b"sentinel")
-        warm.save_cache()
-        assert path.read_bytes() == b"sentinel"
-        # An explicit different target still writes.
-        other = tmp_path / "other.pkl"
-        warm.save_cache(other)
-        assert other.exists()
 
 
 class TestDivisorsMemoisation:
